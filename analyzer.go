@@ -98,18 +98,19 @@ func NewAnalyzer(opts ...Option) *Analyzer {
 }
 
 // prepare validates the configured strategy and applies seal repairs to a
-// copy of g (or returns g unchanged when there are none).
-func (a *Analyzer) prepare(g *Graph) (*Graph, error) {
-	if a.cfg.strategy != "" {
-		if _, err := dataflow.LookupStrategy(a.cfg.strategy); err != nil {
+// copy of g (or returns g unchanged when there are none). Analyzer and
+// OpenSession share it.
+func (c *config) prepare(g *Graph) (*Graph, error) {
+	if c.strategy != "" {
+		if _, err := dataflow.LookupStrategy(c.strategy); err != nil {
 			return nil, fmt.Errorf("blazes: %w", err)
 		}
 	}
-	if len(a.cfg.sealRepairs) == 0 {
+	if len(c.sealRepairs) == 0 {
 		return g, nil
 	}
 	ng := g.Clone()
-	for _, sr := range a.cfg.sealRepairs {
+	for _, sr := range c.sealRepairs {
 		s := ng.Stream(sr.stream)
 		if s == nil {
 			return nil, fmt.Errorf("blazes: seal repair: unknown stream %q (declared: %v)", sr.stream, streamNames(ng))
@@ -128,7 +129,7 @@ func (a *Analyzer) synthOpts() dataflow.SynthesisOptions {
 
 // Analyze derives a label for every stream and the dataflow verdict.
 func (a *Analyzer) Analyze(g *Graph) (*Result, error) {
-	g, err := a.prepare(g)
+	g, err := a.cfg.prepare(g)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +156,7 @@ func (a *Analyzer) Synthesize(g *Graph) (*Result, error) {
 // no further strategies are produced. The Result carries the final
 // analysis; Strategies lists every strategy applied, in application order.
 func (a *Analyzer) Repair(g *Graph) (*Result, error) {
-	g, err := a.prepare(g)
+	g, err := a.cfg.prepare(g)
 	if err != nil {
 		return nil, err
 	}

@@ -390,6 +390,21 @@ func BenchmarkAnalyze10k(b *testing.B) {
 	}
 }
 
+// BenchmarkRepair10k measures the repair fixpoint on the same topology: one
+// engine over a private clone, re-analyzed incrementally after each round
+// of synthesized strategies.
+func BenchmarkRepair10k(b *testing.B) {
+	g := scaleBenchGraph(b)
+	analyzer := NewAnalyzer()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := analyzer.Repair(g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // scaleFlipTarget picks the flip component for the incremental benchmark:
 // the last (highest-named) component touching no cycle stream, so the flip
 // never lands inside a supernode and the structural caches survive every

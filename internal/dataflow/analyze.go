@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -21,8 +22,8 @@ type ComponentAnalysis struct {
 	// OutputLabels maps each output interface to its merged label.
 	OutputLabels map[string]core.Label
 
-	// builtBy tags the incremental-engine pass that assembled this record
-	// (zero for one-shot analyses); see Incremental.Analyze.
+	// builtBy tags the engine pass that assembled this record; see
+	// Incremental.Analyze.
 	builtBy uint64
 }
 
@@ -69,43 +70,14 @@ func indexStreams(g *Graph) *streamIndex {
 	return idx
 }
 
-// Analyze runs the Blazes analysis over g: validate, collapse cycles,
-// propagate labels over output interfaces in topological order (inference
-// per path, reconciliation per output interface, merge), and compute the
-// verdict.
+// Analyze runs the Blazes analysis over g from scratch: validate, collapse
+// cycles, propagate labels over output interfaces in topological order
+// (inference per path, reconciliation per output interface, merge), and
+// compute the verdict. It is one full pass of a fresh Incremental engine
+// over g, which it does not mutate.
 func Analyze(g *Graph) (*Analysis, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	cg := collapseSCCs(g)
-	if cg != g {
-		if err := cg.Validate(); err != nil {
-			return nil, fmt.Errorf("dataflow: internal error: collapsed graph invalid: %w", err)
-		}
-	}
-
-	a := &Analysis{
-		Graph:        g,
-		Collapsed:    cg,
-		StreamLabels: map[string]core.Label{},
-		Components:   map[string]*ComponentAnalysis{},
-	}
-
-	// Source streams start from their annotations: Seal_key if annotated,
-	// otherwise the conservative default Async.
-	for _, s := range cg.Streams() {
-		if s.IsSource() {
-			a.StreamLabels[s.Name] = sourceLabel(s)
-		}
-	}
-
-	idx := indexStreams(cg)
-	for _, node := range outputTopoOrder(cg) {
-		a.analyzeOutput(cg, idx, node)
-	}
-
-	a.Verdict = a.verdict(cg)
-	return a, nil
+	a, _, err := NewIncremental(g).Analyze(context.Background())
+	return a, err
 }
 
 // outputTopoOrder returns the OUT interface nodes of the (acyclic) collapsed
@@ -192,16 +164,44 @@ func (h *ifaceHeap) pop() ifaceNode {
 	return min
 }
 
+// gatherInputs appends to buf the labels feeding comp's output interface,
+// path by path in declaration order: one per stream into the path's input
+// (Async for a stream not yet labeled), or a single Async for an
+// unconnected input.
+func gatherInputs(buf []core.Label, comp *Component, iface string, idx *streamIndex, labels map[string]core.Label) []core.Label {
+	for _, p := range comp.Paths {
+		if p.To != iface {
+			continue
+		}
+		streams := idx.into[[2]string{comp.Name, p.From}]
+		if len(streams) == 0 {
+			buf = append(buf, core.Async)
+		}
+		for _, s := range streams {
+			l, ok := labels[s.Name]
+			if !ok {
+				l = core.Async
+			}
+			buf = append(buf, l)
+		}
+	}
+	return buf
+}
+
 // deriveOutput performs the derivation for one output interface: inference
 // per (input label × path), then reconciliation, then the mechanism floor.
-// It is the single implementation shared by the one-shot Analyze and the
-// incremental engine; labels supplies the already-derived stream labels.
-func deriveOutput(comp *Component, iface string, idx *streamIndex, labels map[string]core.Label) (steps []core.Step, rec core.Reconciliation, out core.Label) {
+// in is the interface's gatherInputs result and outReps reports whether
+// any stream leaving it is replicated. Incremental.Analyze calls it for
+// every interface it cannot serve from its memo.
+func deriveOutput(comp *Component, iface string, idx *streamIndex, in []core.Label, outReps bool) (steps []core.Step, rec core.Reconciliation, out core.Label) {
 	coordinated := comp.Coordination == CoordSequenced || comp.Coordination == CoordDynamicOrder ||
 		comp.Coordination == CoordQuorumOrder || comp.Coordination == CoordMergeRewrite
 
 	var merged []core.Label
-	for _, p := range comp.PathsTo(iface) {
+	for _, p := range comp.Paths {
+		if p.To != iface {
+			continue
+		}
 		ann := p.Ann
 		if coordinated && ann.OrderSensitive() {
 			// A total order over inputs (M1/M2/M1q) or a commutative merge
@@ -211,23 +211,19 @@ func deriveOutput(comp *Component, iface string, idx *streamIndex, labels map[st
 			ann = core.Annotation{Confluent: true, Write: ann.Write}
 		}
 		info := core.PathInfo{Ann: ann, Deps: comp.Deps}
-		for _, in := range inputLabels(idx, labels, comp.Name, p.From) {
-			step := core.InferInfo(in, info)
+		n := max(1, len(idx.into[[2]string{comp.Name, p.From}]))
+		for _, l := range in[:n] {
+			step := core.InferInfo(l, info)
 			steps = append(steps, step)
 			merged = append(merged, step.Out)
 		}
-	}
-	rep := comp.Rep
-	for _, s := range idx.outOf[[2]string{comp.Name, iface}] {
-		if s.Rep {
-			rep = true
-		}
+		in = in[n:]
 	}
 	var outSchema fd.AttrSet
 	if comp.OutSchema != nil {
 		outSchema = comp.OutSchema[iface]
 	}
-	rec = core.ReconcileWithSchema(merged, rep, comp.Deps, outSchema)
+	rec = core.ReconcileWithSchema(merged, comp.Rep || outReps, comp.Deps, outSchema)
 
 	out = rec.Output
 	// M2 (dynamic ordering) fixes order within a run only: contents remain
@@ -236,49 +232,6 @@ func deriveOutput(comp *Component, iface string, idx *streamIndex, labels map[st
 		out = core.Run
 	}
 	return steps, rec, out
-}
-
-// analyzeOutput derives the label for one output interface and stamps it on
-// the streams leaving it.
-func (a *Analysis) analyzeOutput(g *Graph, idx *streamIndex, node ifaceNode) {
-	comp := g.Lookup(node.comp)
-	if comp == nil {
-		return
-	}
-	ca := a.Components[comp.Name]
-	if ca == nil {
-		ca = &ComponentAnalysis{
-			Name:            comp.Name,
-			Reconciliations: map[string]core.Reconciliation{},
-			OutputLabels:    map[string]core.Label{},
-		}
-		a.Components[comp.Name] = ca
-	}
-
-	steps, rec, out := deriveOutput(comp, node.iface, idx, a.StreamLabels)
-	ca.Steps = append(ca.Steps, steps...)
-	ca.Reconciliations[node.iface] = rec
-	ca.OutputLabels[node.iface] = rec.Output
-	for _, s := range idx.outOf[[2]string{comp.Name, node.iface}] {
-		a.StreamLabels[s.Name] = out
-	}
-}
-
-// inputLabels gathers the labels of every stream feeding comp.iface; an
-// unconnected input defaults to Async.
-func inputLabels(idx *streamIndex, labels map[string]core.Label, comp, iface string) []core.Label {
-	var out []core.Label
-	for _, s := range idx.into[[2]string{comp, iface}] {
-		if l, ok := labels[s.Name]; ok {
-			out = append(out, l)
-		} else {
-			out = append(out, core.Async)
-		}
-	}
-	if len(out) == 0 {
-		out = append(out, core.Async)
-	}
-	return out
 }
 
 func (a *Analysis) verdict(g *Graph) core.Label {

@@ -46,21 +46,13 @@ type Incremental struct {
 	pendingComps   map[string]bool
 	pendingStreams map[string]bool
 
-	// memo keeps up to memoVersions derivations per output interface,
-	// most-recently-used first: the repair loop's try-and-revert pattern
-	// (flip an annotation, analyze, flip it back) hits the cache in both
-	// directions.
-	memo map[[2]string][]*nodeMemo
-	// stamped records, per interface, the memo entry whose label was last
-	// written to its outgoing streams; a hit on any other entry means the
-	// derivation changed and must restamp and rebuild.
-	stamped map[[2]string]*nodeMemo
-	last    *Analysis
-	// carry accumulates the interfaces whose derivation changed since the
-	// last *completed* pass: a cancelled pass updates memo state, so its
-	// changes must still be reported (and their components' records
-	// rebuilt) by the pass that eventually completes.
-	carry map[[2]string]bool
+	// memo holds the state of every output interface of the collapsed
+	// graph; it survives structural rebuilds (pruned to the interfaces that
+	// still exist), so a rebuild pass re-derives only what changed. nodes
+	// holds the same states index-for-index with order.
+	memo  map[[2]string]*ifaceMemo
+	nodes []*ifaceMemo
+	last  *Analysis
 	// runSeq identifies each non-cached Analyze pass; ComponentAnalysis
 	// records carry the pass that built them so an aborted pass can never
 	// leave a half-built record that a later pass appends to twice.
@@ -69,6 +61,25 @@ type Incremental struct {
 
 // memoVersions bounds the per-interface derivation cache.
 const memoVersions = 4
+
+// ifaceMemo is the engine's state for one output interface.
+type ifaceMemo struct {
+	// versions keeps up to memoVersions derivations, most-recently-used
+	// first, so a session that flips an annotation and later flips it back
+	// hits the cache in both directions.
+	versions [memoVersions]*nodeMemo
+	// stamped is the entry whose label was last written to the outgoing
+	// streams; a hit on any other entry means the derivation changed and
+	// must restamp and rebuild.
+	stamped *nodeMemo
+	// changed: the derivation changed since the last *completed* pass. A
+	// cancelled pass updates memo state, so its changes must still be
+	// reported (and their components' records rebuilt) by the pass that
+	// eventually completes.
+	changed bool
+	// out lists the interface's outgoing streams in the collapsed graph.
+	out []*Stream
+}
 
 // NodeRef identifies one output interface of the collapsed graph. Comp
 // may be a supernode name ("scc+A+B") and Iface a member-qualified
@@ -158,9 +169,6 @@ func NewIncremental(g *Graph) *Incremental {
 		topoDirty:      true,
 		pendingComps:   map[string]bool{},
 		pendingStreams: map[string]bool{},
-		memo:           map[[2]string][]*nodeMemo{},
-		stamped:        map[[2]string]*nodeMemo{},
-		carry:          map[[2]string]bool{},
 	}
 }
 
@@ -203,49 +211,65 @@ func (inc *Incremental) NoteStreamChange(stream string) {
 	}
 }
 
+// ApplyStrategies marks each strategy's component with its mechanism — on
+// the live graph (every member, for a supernode "scc+A+B") and on the
+// collapsed node — without a structural rebuild: every member of a
+// supernode gets the same mechanism, so the collapse's max over members is
+// that mechanism too. A name that resolves only inside a supernode falls
+// back to a rebuild. The next Analyze re-derives what the new coordination
+// changes.
+func (inc *Incremental) ApplyStrategies(strategies []Strategy) {
+	inc.version++
+	for _, st := range strategies {
+		for _, c := range strategyTargets(inc.g, st.Component) {
+			c.Coordination = st.Mechanism
+		}
+		if inc.topoDirty || inc.collapsed == inc.g {
+			continue
+		}
+		if c := inc.collapsed.Lookup(st.Component); c != nil {
+			c.Coordination = st.Mechanism
+		} else {
+			inc.topoDirty = true
+		}
+	}
+}
+
 // rebuildStructure revalidates and recomputes the collapse, topo order,
 // stream index and cycle membership.
 func (inc *Incremental) rebuildStructure() error {
 	if err := inc.g.Validate(); err != nil {
 		return err
 	}
-	cg := collapseSCCs(inc.g)
+	cg, cyclic := collapseSCCs(inc.g)
 	if cg != inc.g {
 		if err := cg.Validate(); err != nil {
 			return fmt.Errorf("dataflow: internal error: collapsed graph invalid: %w", err)
 		}
 	}
 	inc.collapsed = cg
+	inc.cyclic = cyclic
 	inc.order = outputTopoOrder(cg)
 	inc.idx = indexStreams(cg)
 
-	ig := buildIfaceGraph(inc.g)
-	sccs := condenseIfaces(ig)
-	inc.cyclic = map[string]bool{}
-	for id, members := range sccs.members {
-		if !sccs.cyclic[id] {
-			continue
+	// Carry over the state of output interfaces that still exist.
+	memo := make(map[[2]string]*ifaceMemo, len(inc.order))
+	inc.nodes = make([]*ifaceMemo, len(inc.order))
+	for i, n := range inc.order {
+		key := [2]string{n.comp, n.iface}
+		st := inc.memo[key]
+		if st == nil {
+			st = &ifaceMemo{}
 		}
-		for _, m := range members {
-			inc.cyclic[m.comp] = true
-		}
+		st.changed = false
+		st.out = inc.idx.outOf[key]
+		memo[key] = st
+		inc.nodes[i] = st
 	}
-
-	// Prune memo entries for output interfaces that no longer exist.
-	live := map[[2]string]bool{}
-	for _, n := range inc.order {
-		live[[2]string{n.comp, n.iface}] = true
-	}
-	for k := range inc.memo {
-		if !live[k] {
-			delete(inc.memo, k)
-			delete(inc.stamped, k)
-		}
-	}
+	inc.memo = memo
 
 	clear(inc.pendingComps)
 	clear(inc.pendingStreams)
-	clear(inc.carry)
 	// The cached analysis indexes the old structure; the rebuild pass
 	// restamps everything from scratch.
 	inc.last = nil
@@ -287,15 +311,16 @@ func (inc *Incremental) applyPendingSyncs() {
 }
 
 // Analyze re-derives the analysis, reusing every memoized derivation whose
-// dependencies are unchanged. The result is identical to a fresh
-// Analyze(g) of the current graph. The returned Analysis is owned by the
+// dependencies are unchanged. The result is identical to the first pass of
+// a fresh engine over the current graph (which is what the package-level
+// Analyze runs). The returned Analysis is owned by the
 // engine: it is updated in place by the next Analyze, so callers must
 // project what they need (labels, reports) before mutating further. ctx
 // cancels between interface derivations.
 //
 // Invariant exploited by the in-place path: after every pass, each output
-// interface's streams are stamped with the label of the memo entry recorded
-// in `stamped`, so a hit on that same entry can skip stamping (and record
+// interface's streams are stamped with the label of its `stamped` memo
+// entry, so a hit on that same entry can skip stamping (and record
 // rebuilding) entirely; a hit on any other cached version restamps and is
 // reported as changed.
 func (inc *Incremental) Analyze(ctx context.Context) (*Analysis, Stats, error) {
@@ -351,7 +376,7 @@ func (inc *Incremental) Analyze(ctx context.Context) (*Analysis, Stats, error) {
 	clear(inc.pendingStreams)
 
 	var sig []core.Label // reused gather buffer
-	for _, node := range inc.order {
+	for i, node := range inc.order {
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
 		}
@@ -359,50 +384,33 @@ func (inc *Incremental) Analyze(ctx context.Context) (*Analysis, Stats, error) {
 		if comp == nil {
 			continue
 		}
-		key := [2]string{node.comp, node.iface}
-		sig = sig[:0]
-		for _, p := range comp.Paths {
-			if p.To != node.iface {
-				continue
-			}
-			streams := inc.idx.into[[2]string{node.comp, p.From}]
-			if len(streams) == 0 {
-				sig = append(sig, core.Async)
-				continue
-			}
-			for _, s := range streams {
-				if l, ok := a.StreamLabels[s.Name]; ok {
-					sig = append(sig, l)
-				} else {
-					sig = append(sig, core.Async)
-				}
-			}
-		}
+		st := inc.nodes[i]
+		sig = gatherInputs(sig[:0], comp, node.iface, inc.idx, a.StreamLabels)
 		outReps := false
-		for _, s := range inc.idx.outOf[key] {
+		for _, s := range st.out {
 			if s.Rep {
 				outReps = true
 			}
 		}
 
-		// Look the signature up in the per-interface version cache
-		// (most-recently-used first).
+		// Look the signature up in the version cache (most-recently-used
+		// first) and move a hit to the front.
 		var m *nodeMemo
-		entries := inc.memo[key]
-		for i, e := range entries {
+		for j, e := range st.versions {
+			if e == nil {
+				break
+			}
 			if e.valid(comp, node.iface, sig, outReps) {
 				m = e
-				if i > 0 { // move to front
-					copy(entries[1:i+1], entries[:i])
-					entries[0] = m
-				}
+				copy(st.versions[1:j+1], st.versions[:j])
+				st.versions[0] = m
 				break
 			}
 		}
 		if m != nil {
 			stats.Reused++
 		} else {
-			steps, rec, out := deriveOutput(comp, node.iface, inc.idx, a.StreamLabels)
+			steps, rec, out := deriveOutput(comp, node.iface, inc.idx, sig, outReps)
 			var schema fd.AttrSet
 			if comp.OutSchema != nil {
 				schema = comp.OutSchema[node.iface]
@@ -419,18 +427,16 @@ func (inc *Incremental) Analyze(ctx context.Context) (*Analysis, Stats, error) {
 				rec:       rec,
 				out:       out,
 			}
-			if len(entries) >= memoVersions {
-				entries = entries[:memoVersions-1]
-			}
-			inc.memo[key] = append([]*nodeMemo{m}, entries...)
+			copy(st.versions[1:], st.versions[:memoVersions-1])
+			st.versions[0] = m
 		}
 
-		if inPlace && inc.stamped[key] == m {
+		if inPlace && st.stamped == m {
 			continue // streams already stamped with m.out, record unchanged
 		}
-		inc.carry[key] = true
-		inc.stamped[key] = m
-		for _, s := range inc.idx.outOf[key] {
+		st.changed = true
+		st.stamped = m
+		for _, s := range st.out {
 			a.StreamLabels[s.Name] = m.out
 		}
 	}
@@ -438,25 +444,27 @@ func (inc *Incremental) Analyze(ctx context.Context) (*Analysis, Stats, error) {
 	// The pass completed: report every interface whose derivation changed
 	// since the last completed pass (including changes made by cancelled
 	// passes), in propagation order, and rebuild the derivation records of
-	// their components (of all components on the full path).
-	touched := map[string]bool{}
-	for _, node := range inc.order {
-		key := [2]string{node.comp, node.iface}
-		if inc.carry[key] {
+	// their components (of all components on a full pass).
+	var touched map[string]bool
+	if inPlace {
+		touched = map[string]bool{}
+	} else {
+		stats.Recomputed = make([]NodeRef, 0, len(inc.order))
+	}
+	for i, node := range inc.order {
+		if st := inc.nodes[i]; st.changed {
+			st.changed = false
 			stats.Recomputed = append(stats.Recomputed, NodeRef{Comp: node.comp, Iface: node.iface})
-			touched[node.comp] = true
+			if inPlace {
+				touched[node.comp] = true
+			}
 		}
 	}
-	clear(inc.carry)
-	if !inPlace {
-		for _, node := range inc.order {
-			touched[node.comp] = true
-		}
-	}
-	if len(touched) > 0 {
-		for _, node := range inc.order {
-			if !touched[node.comp] {
-				continue
+	if !inPlace || len(touched) > 0 {
+		for i, node := range inc.order {
+			m := inc.nodes[i].stamped
+			if m == nil || (inPlace && !touched[node.comp]) {
+				continue // m == nil is unreachable: every visited node has an entry
 			}
 			ca := a.Components[node.comp]
 			if ca == nil || ca.builtBy != inc.runSeq {
@@ -467,10 +475,6 @@ func (inc *Incremental) Analyze(ctx context.Context) (*Analysis, Stats, error) {
 					builtBy:         inc.runSeq,
 				}
 				a.Components[node.comp] = ca
-			}
-			m := inc.stamped[[2]string{node.comp, node.iface}]
-			if m == nil {
-				continue // unreachable: every visited node has an entry
 			}
 			ca.Steps = append(ca.Steps, m.steps...)
 			ca.Reconciliations[node.iface] = m.rec

@@ -9,7 +9,7 @@ import (
 	"blazes/internal/fd"
 )
 
-// fullEqual asserts an incremental analysis matches a fresh one on every
+// fullEqual asserts an engine analysis matches the reference one on every
 // observable: stream labels, verdict, and the full rendered derivation.
 func fullEqual(t *testing.T, tag string, inc, fresh *Analysis) {
 	t.Helper()
@@ -29,34 +29,9 @@ func fullEqual(t *testing.T, tag string, inc, fresh *Analysis) {
 	}
 }
 
-// TestIncrementalMatchesFreshOnPaperGraphs drives the built-in graphs
-// through annotation and seal flips and checks every re-analysis against a
-// fresh full analysis of the same graph.
-func TestIncrementalMatchesFreshOnPaperGraphs(t *testing.T) {
-	graphs := []*Graph{
-		WordcountTopology(false),
-		WordcountTopology(true),
-		AdNetwork(THRESH),
-		AdNetwork(CAMPAIGN, "campaign"),
-	}
-	ctx := context.Background()
-	for _, g := range graphs {
-		inc := NewIncremental(g.Clone())
-		a, _, err := inc.Analyze(ctx)
-		if err != nil {
-			t.Fatalf("%s: %v", g.Name, err)
-		}
-		fresh, err := Analyze(inc.Graph())
-		if err != nil {
-			t.Fatal(err)
-		}
-		fullEqual(t, g.Name, a, fresh)
-	}
-}
-
 // TestIncrementalAnnotationFlip: flipping one acyclic component's
-// annotation re-derives only its downstream closure and still matches a
-// fresh analysis.
+// annotation re-derives only its downstream closure and still matches the
+// reference analysis.
 func TestIncrementalAnnotationFlip(t *testing.T) {
 	ctx := context.Background()
 	inc := NewIncremental(AdNetwork(CAMPAIGN, "campaign"))
@@ -80,7 +55,7 @@ func TestIncrementalAnnotationFlip(t *testing.T) {
 		if len(stats.Recomputed) == 0 {
 			t.Fatalf("flip %d (%s): nothing recomputed", i, q)
 		}
-		fresh, err := Analyze(inc.Graph())
+		fresh, err := referenceAnalyze(inc.Graph())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +84,7 @@ func TestIncrementalCyclicAnnotationFlip(t *testing.T) {
 	if !stats.Rebuilt {
 		t.Fatal("cyclic annotation change should rebuild the structure")
 	}
-	fresh, err := Analyze(inc.Graph())
+	fresh, err := referenceAnalyze(inc.Graph())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +92,7 @@ func TestIncrementalCyclicAnnotationFlip(t *testing.T) {
 }
 
 // TestIncrementalSealFlip: sealing and unsealing a source stream matches a
-// fresh analysis without a structural rebuild.
+// reference analysis without a structural rebuild.
 func TestIncrementalSealFlip(t *testing.T) {
 	ctx := context.Background()
 	inc := NewIncremental(WordcountTopology(false))
@@ -134,7 +109,7 @@ func TestIncrementalSealFlip(t *testing.T) {
 		if stats.Rebuilt {
 			t.Fatalf("flip %d: seal flip rebuilt the structure", i)
 		}
-		fresh, err := Analyze(inc.Graph())
+		fresh, err := referenceAnalyze(inc.Graph())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +139,7 @@ func TestIncrementalTopologyMutations(t *testing.T) {
 	if !stats.Rebuilt {
 		t.Fatal("topology change should rebuild")
 	}
-	fresh, err := Analyze(g)
+	fresh, err := referenceAnalyze(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +194,7 @@ func TestIncrementalCancellation(t *testing.T) {
 }
 
 // TestIncrementalRandomizedFlips drives random annotation/seal flips on the
-// wordcount and checks each against fresh analysis.
+// wordcount and checks each against the reference analysis.
 func TestIncrementalRandomizedFlips(t *testing.T) {
 	ctx := context.Background()
 	anns := []core.Annotation{core.CR, core.CW, core.ORGate("word"), core.OWGate("word", "batch"), core.ORStar(), core.OWStar()}
@@ -248,10 +223,43 @@ func TestIncrementalRandomizedFlips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := Analyze(inc.Graph())
+		fresh, err := referenceAnalyze(inc.Graph())
 		if err != nil {
 			t.Fatal(err)
 		}
 		fullEqual(t, "rand", a, fresh)
+	}
+}
+
+// TestReplicatedOutputStream: a replicated output stream makes its
+// producer's reconciliation replicated even when the component is not,
+// and flipping the stream's Rep flag re-derives in place.
+func TestReplicatedOutputStream(t *testing.T) {
+	ctx := context.Background()
+	g := NewGraph("rep-out")
+	g.Component("C").AddPath("in", "out", core.OWStar())
+	g.Source("src", "C", "in")
+	g.Sink("snk", "C", "out")
+	inc := NewIncremental(g)
+	for i, want := range []core.Label{core.Run, core.Diverge, core.Run} {
+		if i > 0 {
+			g.Stream("snk").Rep = !g.Stream("snk").Rep
+			inc.NoteStreamChange("snk")
+		}
+		a, stats, err := inc.Analyze(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && stats.Rebuilt {
+			t.Fatalf("step %d: Rep flip rebuilt the structure", i)
+		}
+		if !a.Verdict.Equal(want) {
+			t.Fatalf("step %d: verdict = %s, want %s", i, a.Verdict, want)
+		}
+		ref, err := referenceAnalyze(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullEqual(t, "rep-out", a, ref)
 	}
 }

@@ -152,8 +152,10 @@ func condenseIfaces(ig *ifaceGraph) *ifaceSCC {
 // the highest-severity annotation among the cycle's paths. Cycles spanning
 // several components merge those components into one supernode whose
 // external paths connect reachable (external input, external output) pairs.
-// Acyclic graphs are returned unchanged (same object).
-func collapseSCCs(g *Graph) *Graph {
+// Acyclic graphs are returned unchanged (same object). The second result
+// marks the original components lying on an interface-level cycle (nil when
+// there are none).
+func collapseSCCs(g *Graph) (*Graph, map[string]bool) {
 	ig := buildIfaceGraph(g)
 	sccs := condenseIfaces(ig)
 
@@ -165,7 +167,7 @@ func collapseSCCs(g *Graph) *Graph {
 		}
 	}
 	if !anyCyclic {
-		return g
+		return g, nil
 	}
 
 	// Union components that share a cyclic SCC.
@@ -349,7 +351,7 @@ func collapseSCCs(g *Graph) *Graph {
 		ns.Seal = s.Seal
 		ns.Rep = s.Rep
 	}
-	return ng
+	return ng, cyclicComp
 }
 
 // groupAnnFor returns the collapsed annotation for a group, falling back to

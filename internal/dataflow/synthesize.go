@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -300,39 +301,57 @@ func sortedBoolKeys(m map[string]bool) []string {
 func Apply(g *Graph, strategies []Strategy) *Graph {
 	ng := g.Clone()
 	for _, st := range strategies {
-		if comp := ng.Lookup(st.Component); comp != nil {
-			comp.Coordination = st.Mechanism
-			continue
-		}
-		if rest, ok := strings.CutPrefix(st.Component, "scc+"); ok {
-			for _, member := range strings.Split(rest, "+") {
-				if comp := ng.Lookup(member); comp != nil {
-					comp.Coordination = st.Mechanism
-				}
-			}
+		for _, c := range strategyTargets(ng, st.Component) {
+			c.Coordination = st.Mechanism
 		}
 	}
 	return ng
 }
 
+// strategyTargets resolves a strategy's component name against g: the
+// named component, or every member of a supernode name ("scc+A+B").
+func strategyTargets(g *Graph, name string) []*Component {
+	if c := g.Lookup(name); c != nil {
+		return []*Component{c}
+	}
+	var out []*Component
+	if rest, ok := strings.CutPrefix(name, "scc+"); ok {
+		for _, member := range strings.Split(rest, "+") {
+			if c := g.Lookup(member); c != nil {
+				out = append(out, c)
+			}
+		}
+	}
+	return out
+}
+
 // Repair analyzes g, synthesizes strategies, applies them, and re-analyzes,
 // iterating until no further strategies are produced. It returns the final
-// analysis and all strategies applied, in application order.
+// analysis and all strategies applied, in application order. g is not
+// mutated: one incremental engine runs every round on a private clone, so
+// each re-analysis re-derives only what the new coordination changes.
 func Repair(g *Graph, opts SynthesisOptions) (*Analysis, []Strategy, error) {
+	return repair(g, opts, func(Stats) {})
+}
+
+// repair is Repair reporting each analysis pass's Stats to onPass.
+func repair(g *Graph, opts SynthesisOptions, onPass func(Stats)) (*Analysis, []Strategy, error) {
+	inc := NewIncremental(g.Clone())
 	var all []Strategy
-	cur := g
-	for i := 0; i <= len(g.Components()); i++ {
-		a, err := Analyze(cur)
+	for round := 0; ; round++ {
+		a, stats, err := inc.Analyze(context.Background())
 		if err != nil {
 			return nil, nil, err
+		}
+		onPass(stats)
+		if round > len(g.Components()) {
+			return a, all, nil
 		}
 		st := Synthesize(a, opts)
 		if len(st) == 0 {
 			return a, all, nil
 		}
 		all = append(all, st...)
-		cur = Apply(cur, st)
+		inc.ApplyStrategies(st)
 	}
-	a, err := Analyze(cur)
-	return a, all, err
 }

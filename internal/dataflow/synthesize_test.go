@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"context"
 	"testing"
 
 	"blazes/internal/core"
@@ -164,10 +165,57 @@ func TestApplyResolvesSupernodeMembers(t *testing.T) {
 	g.Connect("ba", "B", "out", "A", "in")
 	g.Sink("snk", "B", "out")
 
-	ng := Apply(g, []Strategy{{Component: "scc+A+B", Mechanism: CoordDynamicOrder}})
+	sts := []Strategy{{Component: "scc+A+B", Mechanism: CoordDynamicOrder}}
+	ng := Apply(g, sts)
 	if ng.Lookup("A").Coordination != CoordDynamicOrder || ng.Lookup("B").Coordination != CoordDynamicOrder {
 		t.Error("supernode strategy should apply to all members")
 	}
+	if g.Lookup("A").Coordination != CoordNone {
+		t.Error("Apply mutated its input")
+	}
+
+	// In place, the engine marks the same members and the collapsed
+	// supernode, then re-derives without a structural rebuild.
+	ctx := context.Background()
+	inc := NewIncremental(g.Clone())
+	if _, _, err := inc.Analyze(ctx); err != nil {
+		t.Fatal(err)
+	}
+	inc.ApplyStrategies(sts)
+	a, stats, err := inc.Analyze(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Rebuilt || len(stats.Recomputed) == 0 {
+		t.Errorf("in-place apply: stats = %+v, want an incremental pass that re-derives", stats)
+	}
+	if inc.Graph().Lookup("A").Coordination != CoordDynamicOrder || inc.Graph().Lookup("B").Coordination != CoordDynamicOrder {
+		t.Error("in-place supernode strategy should apply to all members")
+	}
+	if a.Collapsed.Lookup("scc+A+B").Coordination != CoordDynamicOrder {
+		t.Error("in-place supernode strategy should mark the collapsed node")
+	}
+	ref, err := referenceAnalyze(ng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullEqual(t, "in-place", a, ref)
+
+	// A member name inside the supernode cannot be set in place on the
+	// collapsed graph: the engine rebuilds instead.
+	member := []Strategy{{Component: "A", Mechanism: CoordSequenced}}
+	inc.ApplyStrategies(member)
+	a, stats, err = inc.Analyze(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Rebuilt {
+		t.Error("member-name apply should rebuild the structure")
+	}
+	if ref, err = referenceAnalyze(Apply(ng, member)); err != nil {
+		t.Fatal(err)
+	}
+	fullEqual(t, "member", a, ref)
 }
 
 func TestStrategyString(t *testing.T) {

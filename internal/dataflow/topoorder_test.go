@@ -93,7 +93,7 @@ func TestOutputTopoOrderMatchesQuadratic(t *testing.T) {
 		if trial%3 == 0 && layers >= 2 {
 			g.Connect("back", fmt.Sprintf("C%02d_%02d", 1, 0), "out", "C00_00", "in")
 		}
-		cg := collapseSCCs(g)
+		cg, _ := collapseSCCs(g)
 		got := outputTopoOrder(cg)
 		want := outputTopoOrderQuadratic(cg)
 		if len(got) != len(want) {

@@ -2,8 +2,10 @@ package blazes
 
 // Scale tests drive the public API over generated topologies (blazes gen /
 // blazes/topogen). Three tiers are wired in: the 1k tier runs the session
-// differential contract (randomized mutations, session report ≡ fresh
-// one-shot), the 10k tier is an end-to-end smoke of the full
+// differential contract (randomized mutations; the report of a session
+// re-analyzed in place ≡ that of a fresh Analyzer.Analyze pass — both run
+// dataflow.Incremental, which internal/dataflow checks against a
+// reference propagation), the 10k tier is an end-to-end smoke of the full
 // gen → parse → graph → analyze pipeline, and the 100k tier is the same
 // smoke gated behind BLAZES_SCALE_FULL=1 so plain `go test ./...` stays
 // fast. Determinism — the acceptance bar that equal seeds produce

@@ -12,10 +12,10 @@
 # is used to gate regressions between PRs.
 #
 # -quick mode is for contributors who want a fast signal: one run per
-# benchmark with the Figure 11 sweep and the 10k-component scale pair
-# (BenchmarkAnalyze10k, BenchmarkSessionReanalyze10k) reduced via
-# BLAZES_BENCH_QUICK — the sweep and the scale graphs dominate the
-# suite's runtime; quick mode runs the scale pair at 1k. The fast analysis
+# benchmark with the Figure 11 sweep and the 10k-component scale benchmarks
+# (BenchmarkAnalyze10k, BenchmarkRepair10k, BenchmarkSessionReanalyze10k)
+# reduced via BLAZES_BENCH_QUICK — the sweep and the scale graphs dominate
+# the suite's runtime; quick mode runs the scale benchmarks at 1k. The fast analysis
 # benchmarks — including BenchmarkSessionReanalyze vs BenchmarkFullReanalyze,
 # the incremental-session speedup pair — run at full fidelity in both
 # modes. Quick numbers are a smoke signal only — Fig11's workload differs

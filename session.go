@@ -75,21 +75,12 @@ type SessionStats struct {
 // validate.
 func OpenSession(g *Graph, opts ...Option) (*Session, error) {
 	cfg := buildConfig(opts)
-	if cfg.strategy != "" {
-		if _, err := dataflow.LookupStrategy(cfg.strategy); err != nil {
-			return nil, fmt.Errorf("blazes: %w", err)
-		}
+	ng, err := cfg.prepare(g)
+	if err != nil {
+		return nil, err
 	}
-	ng := g.Clone()
-	for _, sr := range cfg.sealRepairs {
-		s := ng.Stream(sr.stream)
-		if s == nil {
-			return nil, fmt.Errorf("blazes: seal repair: unknown stream %q (declared: %v)", sr.stream, streamNames(ng))
-		}
-		if sr.key.IsEmpty() {
-			return nil, fmt.Errorf("blazes: seal repair on %q needs at least one key attribute", sr.stream)
-		}
-		s.Seal = sr.key
+	if ng == g {
+		ng = g.Clone()
 	}
 	if err := ng.Validate(); err != nil {
 		return nil, err
